@@ -4,7 +4,11 @@
 //! several join graphs … we removed duplicates and explanations that only
 //! differ slightly in terms of constants").
 
-use cajade_graph::Apt;
+use std::borrow::Cow;
+use std::cmp::Ordering;
+use std::collections::HashSet;
+
+use cajade_graph::{Apt, JoinGraph};
 use cajade_mining::{MinedExplanation, PatternMetrics};
 use cajade_storage::StringPool;
 
@@ -38,26 +42,47 @@ impl Explanation {
         primary: String,
         graph_index: usize,
     ) -> Explanation {
+        Explanation::from_parts(
+            mined,
+            |f| &apt.fields[f].name,
+            &apt.graph,
+            pool,
+            primary,
+            graph_index,
+        )
+    }
+
+    /// [`from_mined`](Explanation::from_mined) from the two things
+    /// rendering reads of an APT: its field display names (`name`,
+    /// indexed like `Apt::fields`) and its join graph.
+    pub(crate) fn from_parts<'a>(
+        mined: &MinedExplanation,
+        name: impl Fn(usize) -> &'a str,
+        graph: &JoinGraph,
+        pool: &StringPool,
+        primary: String,
+        graph_index: usize,
+    ) -> Explanation {
         let preds = mined
             .pattern
             .preds()
             .iter()
             .map(|(f, p)| {
                 (
-                    apt.fields[*f].name.clone(),
+                    name(*f).to_string(),
                     p.op.symbol().to_string(),
                     p.value.to_value().render(pool),
                 )
             })
             .collect();
         Explanation {
-            pattern_desc: mined.pattern.render(apt, pool),
+            pattern_desc: mined.pattern.render_with(&name, pool),
             preds,
-            graph_structure: apt.graph.structure_string(),
-            graph_edges: apt.graph.describe_edges(),
+            graph_structure: graph.structure_string(),
+            graph_edges: graph.describe_edges(),
             primary,
             metrics: mined.metrics,
-            from_pt_only: apt.graph.num_edges() == 0,
+            from_pt_only: graph.num_edges() == 0,
             graph_index,
         }
     }
@@ -66,13 +91,12 @@ impl Explanation {
     /// explanations with the same key differ only in constants or join
     /// path — the §6 near-duplicate criterion.
     pub fn near_duplicate_key(&self) -> String {
-        let mut parts: Vec<String> = self
-            .preds
-            .iter()
-            .map(|(a, op, _)| format!("{a}{op}"))
-            .collect();
-        parts.sort();
-        format!("{}|{}", self.primary, parts.join(","))
+        near_duplicate_key(
+            &self.primary,
+            self.preds
+                .iter()
+                .map(|(a, op, _)| (a.as_str(), op.as_str())),
+        )
     }
 
     /// One-line rendering in the Table-4 style.
@@ -119,26 +143,91 @@ impl Explanation {
     }
 }
 
+/// The §6 near-duplicate key of an explanation for `primary` whose
+/// predicates have these `(attribute, operator)` pairs.
+pub(crate) fn near_duplicate_key<'a>(
+    primary: &str,
+    preds: impl Iterator<Item = (&'a str, &'a str)>,
+) -> String {
+    let mut parts: Vec<String> = preds.map(|(a, op)| format!("{a}{op}")).collect();
+    parts.sort();
+    format!("{}|{}", primary, parts.join(","))
+}
+
 /// Sorts by exact F-score (descending) and drops near-duplicates, keeping
 /// the best-scoring representative of each key. Returns at most `k`.
-pub fn rank_and_collapse(mut all: Vec<Explanation>, k: usize, collapse: bool) -> Vec<Explanation> {
-    all.sort_by(|a, b| {
-        // `total_cmp`: a NaN F-score (degenerate metrics) compared Equal
-        // to everything under `partial_cmp(..).unwrap_or(Equal)`, letting
-        // the global ranking depend on per-graph arrival order.
-        b.metrics
-            .f_score
-            .total_cmp(&a.metrics.f_score)
-            // Deterministic tiebreak: simpler pattern, then lexicographic.
-            .then(a.preds.len().cmp(&b.preds.len()))
-            .then(a.pattern_desc.cmp(&b.pattern_desc))
-    });
-    if collapse {
-        let mut seen = std::collections::HashSet::new();
-        all.retain(|e| seen.insert(e.near_duplicate_key()));
+pub fn rank_and_collapse(all: Vec<Explanation>, k: usize, collapse: bool) -> Vec<Explanation> {
+    let keys: Vec<(f64, usize)> = all
+        .iter()
+        .map(|e| (e.metrics.f_score, e.preds.len()))
+        .collect();
+    let kept = rank_top_k(
+        &keys,
+        |i| Cow::Borrowed(all[i].pattern_desc.as_str()),
+        |i| all[i].near_duplicate_key(),
+        k,
+        collapse,
+    );
+    let mut slots: Vec<Option<Explanation>> = all.into_iter().map(Some).collect();
+    kept.into_iter().filter_map(|i| slots[i].take()).collect()
+}
+
+/// The global rank order on `(F-score, |preds|)`: exact F-score
+/// descending, then the simpler pattern first.
+fn rank_order(a: (f64, usize), b: (f64, usize)) -> Ordering {
+    // `total_cmp`: a NaN F-score (degenerate metrics) compared Equal
+    // to everything under `partial_cmp(..).unwrap_or(Equal)`, letting
+    // the global ranking depend on per-graph arrival order.
+    b.0.total_cmp(&a.0).then(a.1.cmp(&b.1))
+}
+
+/// The ranking routine behind both [`rank_and_collapse`] and
+/// [`crate::pipeline::rank_outcomes`]. `keys[i]` is candidate `i`'s
+/// `(F-score, |preds|)`. Candidates are sorted stably by [`rank_order`];
+/// candidates that tie on both keys are ordered by `pattern_desc`, which
+/// is asked for only inside such ties. The sorted list is then walked,
+/// dropping a candidate whose `dup_key` was already kept (when
+/// `collapse`), until `k` are kept. Returns the kept candidates' indices
+/// in rank order.
+pub(crate) fn rank_top_k<'a>(
+    keys: &[(f64, usize)],
+    mut pattern_desc: impl FnMut(usize) -> Cow<'a, str>,
+    mut dup_key: impl FnMut(usize) -> String,
+    k: usize,
+    collapse: bool,
+) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..keys.len()).collect();
+    order.sort_by(|&a, &b| rank_order(keys[a], keys[b]));
+    let mut kept = Vec::with_capacity(k.min(order.len()));
+    let mut seen = HashSet::new();
+    let mut start = 0;
+    while start < order.len() && kept.len() < k {
+        let head = keys[order[start]];
+        let len = order[start..]
+            .iter()
+            .take_while(|&&c| rank_order(keys[c], head).is_eq())
+            .count();
+        let run = &mut order[start..start + len];
+        if len > 1 {
+            // A stable sort: equal descriptions keep arrival order.
+            let mut by_desc: Vec<(Cow<'a, str>, usize)> =
+                run.iter().map(|&c| (pattern_desc(c), c)).collect();
+            by_desc.sort_by(|a, b| a.0.cmp(&b.0));
+            for (slot, (_, c)) in run.iter_mut().zip(by_desc) {
+                *slot = c;
+            }
+        }
+        for &c in run.iter() {
+            if kept.len() == k {
+                break;
+            }
+            if !collapse || seen.insert(dup_key(c)) {
+                kept.push(c);
+            }
+        }
+        start += len;
     }
-    all.truncate(k);
-    all
+    kept
 }
 
 #[cfg(test)]

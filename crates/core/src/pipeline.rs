@@ -13,19 +13,24 @@
 //! produce ([`ProvenanceTable`], [`Apt`]) travel behind `Arc` so a cache
 //! can hand the same materialization to many concurrent sessions.
 
+use std::borrow::Cow;
+use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use cajade_graph::{enumerate_join_graphs, Apt, EnumConfig, EnumeratedGraph, SchemaGraph};
+use cajade_graph::{
+    enumerate_join_graphs, Apt, EnumConfig, EnumeratedGraph, JoinGraph, SchemaGraph,
+};
 use cajade_mining::{
-    mine_apt, mine_prepared, prepare_apt_with, MiningTimings, PreparedApt, Question,
+    mine_apt, mine_prepared, prepare_apt_with, MinedExplanation, MiningOutcome, MiningTimings,
+    PreparedApt, Question,
 };
 pub use cajade_mining::{ColumnStatsProvider, NoSharedStats};
 use cajade_query::{execute, ProvenanceTable, Query, QueryResult};
-use cajade_storage::Database;
+use cajade_storage::{Database, StringPool};
 use rayon::prelude::*;
 
-use crate::explanation::{rank_and_collapse, Explanation};
+use crate::explanation::{near_duplicate_key, rank_and_collapse, rank_top_k, Explanation};
 use crate::params::Params;
 use crate::session::{SessionResult, UserQuestion};
 use crate::timing::SessionTimings;
@@ -169,10 +174,22 @@ pub fn prepare_mining(
 }
 
 /// Everything one mined join graph contributes to the session result.
+///
+/// The mined patterns stay unrendered: stage 5 ([`rank_outcomes`])
+/// renders only the explanations that survive the global top-k. The
+/// outcome keeps just what that rendering reads of the APT — field
+/// names and the join graph — never its gathered columns.
 #[derive(Debug)]
 pub struct GraphOutcome {
-    /// Rendered explanations from this graph.
-    pub explanations: Vec<Explanation>,
+    /// Index of the join graph within the session's enumeration.
+    pub graph_index: usize,
+    /// The graph's mined patterns, in diversity-selection order.
+    pub mined: Vec<MinedExplanation>,
+    /// Display names of the APT fields that `mined` references, indexed
+    /// like `Apt::fields`; the other slots are empty.
+    pub field_names: Vec<String>,
+    /// The APT's join graph.
+    pub graph: JoinGraph,
     /// `(structure, APT rows, APT attributes)` — the Fig. 10a statistics.
     pub apt_stat: (String, usize, usize),
     /// Wall-clock spent materializing this graph's APT (zero on a cache
@@ -184,16 +201,39 @@ pub struct GraphOutcome {
     pub patterns: usize,
 }
 
-/// Stage 4: mines one materialized APT (Algorithm 1) and renders its
-/// explanations. `graph_index` is the graph's index within the session's
-/// enumeration; `materialize_time` is attributed to this outcome for the
-/// Fig. 10 style breakdown.
-// The argument list mirrors the stage's actual data dependencies; a
-// context struct would only relocate the same seven names.
-#[allow(clippy::too_many_arguments)]
+impl GraphOutcome {
+    fn new(
+        apt: &Apt,
+        outcome: MiningOutcome,
+        graph_index: usize,
+        materialize: Duration,
+    ) -> GraphOutcome {
+        let mut field_names = vec![String::new(); apt.fields.len()];
+        for m in &outcome.explanations {
+            for (f, _) in m.pattern.preds() {
+                if field_names[*f].is_empty() {
+                    field_names[*f] = apt.fields[*f].name.clone();
+                }
+            }
+        }
+        GraphOutcome {
+            graph_index,
+            mined: outcome.explanations,
+            field_names,
+            graph: apt.graph.clone(),
+            apt_stat: (apt.graph.structure_string(), apt.num_rows, apt.fields.len()),
+            materialize,
+            mining: outcome.timings,
+            patterns: outcome.patterns_evaluated,
+        }
+    }
+}
+
+/// Stage 4: mines one materialized APT (Algorithm 1). `graph_index` is
+/// the graph's index within the session's enumeration;
+/// `materialize_time` is attributed to this outcome for the Fig. 10
+/// style breakdown.
 pub fn mine_one(
-    db: &Database,
-    query: &Query,
     pt: &ProvenanceTable,
     apt: &Apt,
     question: &Question,
@@ -204,26 +244,7 @@ pub fn mine_one(
     let _span = cajade_obs::span("mine_apt");
     let _mem = cajade_obs::AllocScope::enter("mine");
     let outcome = mine_apt(apt, pt, question, &params.mining);
-    let explanations = outcome
-        .explanations
-        .iter()
-        .map(|m| {
-            Explanation::from_mined(
-                m,
-                apt,
-                db.pool(),
-                group_label(db, query, pt, m.primary_group),
-                graph_index,
-            )
-        })
-        .collect();
-    GraphOutcome {
-        explanations,
-        apt_stat: (apt.graph.structure_string(), apt.num_rows, apt.fields.len()),
-        materialize: materialize_time,
-        mining: outcome.timings,
-        patterns: outcome.patterns_evaluated,
-    }
+    GraphOutcome::new(apt, outcome, graph_index, materialize_time)
 }
 
 /// Stage 4, interactive variant: mines one APT through its cached
@@ -232,10 +253,10 @@ pub fn mine_one(
 /// and its phase timings are attributed to the outcome; on a warm
 /// [`PreparedApt`] the feature-selection / candidate-generation /
 /// sampling / prepare phases report zero — the ask skipped them.
+// The argument list mirrors the stage's actual data dependencies; a
+// context struct would only relocate the same eight names.
 #[allow(clippy::too_many_arguments)]
 pub fn mine_one_prepared(
-    db: &Database,
-    query: &Query,
     pt: &ProvenanceTable,
     apt: &Apt,
     prep: &PreparedApt,
@@ -251,26 +272,7 @@ pub fn mine_one_prepared(
     if prep_computed {
         outcome.timings.accumulate(&prep.prep_timings);
     }
-    let explanations = outcome
-        .explanations
-        .iter()
-        .map(|m| {
-            Explanation::from_mined(
-                m,
-                apt,
-                db.pool(),
-                group_label(db, query, pt, m.primary_group),
-                graph_index,
-            )
-        })
-        .collect();
-    GraphOutcome {
-        explanations,
-        apt_stat: (apt.graph.structure_string(), apt.num_rows, apt.fields.len()),
-        materialize: materialize_time,
-        mining: outcome.timings,
-        patterns: outcome.patterns_evaluated,
-    }
+    GraphOutcome::new(apt, outcome, graph_index, materialize_time)
 }
 
 /// Stage 3+4 over all valid graphs: materialize then mine each one, on
@@ -278,7 +280,6 @@ pub fn mine_one_prepared(
 /// graph order, so parallel and sequential runs produce identical results.
 pub fn materialize_and_mine(
     db: &Database,
-    query: &Query,
     prepared: &PreparedQuery,
     question: &Question,
     params: &Params,
@@ -297,8 +298,6 @@ pub fn materialize_and_mine(
         let apt = materialize(db, &prepared.pt, eg)?;
         let materialize_time = t0.elapsed();
         Ok(Some(mine_one(
-            db,
-            query,
             &prepared.pt,
             &apt,
             question,
@@ -329,27 +328,98 @@ pub fn materialize_and_mine(
     Ok(outcomes.into_iter().flatten().collect())
 }
 
-/// Stage 5: global F-score ranking + near-duplicate collapse (§6).
+/// Stage 5 over rendered explanations: global F-score ranking +
+/// near-duplicate collapse (§6).
 pub fn rank(all: Vec<Explanation>, params: &Params) -> Vec<Explanation> {
     let _span = cajade_obs::span("rank");
     let _mem = cajade_obs::AllocScope::enter("rank");
     rank_and_collapse(all, params.top_k_global, params.collapse_near_duplicates)
 }
 
+/// Stage 5 over mined outcomes: ranks every mined pattern exactly as
+/// [`rank`] ranks their rendered explanations, but renders only the
+/// `params.top_k_global` survivors. Pattern text is rendered only to
+/// break ties on (F-score, `|preds|`); `label` (see [`group_label`]) is
+/// called once per distinct primary group the ranking reaches.
+pub fn rank_outcomes(
+    outcomes: &[GraphOutcome],
+    pool: &StringPool,
+    label: impl Fn(usize) -> String,
+    params: &Params,
+) -> Vec<Explanation> {
+    let _span = cajade_obs::span("rank");
+    let _mem = cajade_obs::AllocScope::enter("rank");
+    let candidates: Vec<(&GraphOutcome, &MinedExplanation)> = outcomes
+        .iter()
+        .flat_map(|o| o.mined.iter().map(move |m| (o, m)))
+        .collect();
+    let keys: Vec<(f64, usize)> = candidates
+        .iter()
+        .map(|(_, m)| (m.metrics.f_score, m.pattern.len()))
+        .collect();
+    let mut labels: HashMap<usize, String> = HashMap::new();
+    let kept = rank_top_k(
+        &keys,
+        |c| {
+            let (o, m) = candidates[c];
+            Cow::Owned(m.pattern.render_with(|f| &o.field_names[f], pool))
+        },
+        |c| {
+            let (o, m) = candidates[c];
+            let primary = labels
+                .entry(m.primary_group)
+                .or_insert_with(|| label(m.primary_group));
+            near_duplicate_key(
+                primary,
+                m.pattern
+                    .preds()
+                    .iter()
+                    .map(|(f, p)| (o.field_names[*f].as_str(), p.op.symbol())),
+            )
+        },
+        params.top_k_global,
+        params.collapse_near_duplicates,
+    );
+    kept.into_iter()
+        .map(|c| {
+            let (o, m) = candidates[c];
+            let primary = labels
+                .entry(m.primary_group)
+                .or_insert_with(|| label(m.primary_group))
+                .clone();
+            Explanation::from_parts(
+                m,
+                |f| &o.field_names[f],
+                &o.graph,
+                pool,
+                primary,
+                o.graph_index,
+            )
+        })
+        .collect()
+}
+
 /// Assembles per-graph outcomes into a [`SessionResult`], accumulating
 /// timings and applying the ranking stage.
 pub fn assemble(
+    db: &Database,
+    query: &Query,
     prepared: &PreparedQuery,
     outcomes: Vec<GraphOutcome>,
     params: &Params,
 ) -> SessionResult {
+    let explanations = rank_outcomes(
+        &outcomes,
+        db.pool(),
+        |g| group_label(db, query, &prepared.pt, g),
+        params,
+    );
     let mut timings = SessionTimings {
         provenance: prepared.provenance_time,
         jg_enum: prepared.jg_enum_time,
         ..Default::default()
     };
     let num_graphs_mined = outcomes.len();
-    let mut all = Vec::new();
     let mut apt_stats = Vec::new();
     let mut patterns_evaluated = 0usize;
     for o in outcomes {
@@ -357,7 +427,6 @@ pub fn assemble(
         timings.mining.accumulate(&o.mining);
         apt_stats.push(o.apt_stat);
         patterns_evaluated += o.patterns;
-        all.extend(o.explanations);
     }
     // When a budget is installed (and still is at assembly — the service
     // calls `assemble` inside the budget scope), surface what truncated.
@@ -365,7 +434,7 @@ pub fn assemble(
         .map(|b| b.truncated().into_iter().map(str::to_string).collect())
         .unwrap_or_default();
     SessionResult {
-        explanations: rank(all, params),
+        explanations,
         timings,
         num_graphs_enumerated: prepared.graphs.len(),
         num_graphs_mined,

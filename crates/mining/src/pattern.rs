@@ -193,6 +193,13 @@ impl Pattern {
     /// Renders the pattern in the paper's description style,
     /// e.g. `scoring.player=S. Curry ∧ scoring.pts≥23`.
     pub fn render(&self, apt: &Apt, pool: &StringPool) -> String {
+        self.render_with(|f| &apt.fields[f].name, pool)
+    }
+
+    /// [`render`](Pattern::render) with field display names supplied by
+    /// `name` (indexed like `Apt::fields`), for callers that keep a
+    /// pattern's names but not its APT.
+    pub fn render_with<'a>(&self, name: impl Fn(usize) -> &'a str, pool: &StringPool) -> String {
         if self.preds.is_empty() {
             return "⟨empty⟩".to_string();
         }
@@ -204,7 +211,7 @@ impl Pattern {
             let _ = write!(
                 out,
                 "{}{}{}",
-                apt.fields[*field].name,
+                name(*field),
                 pred.op.symbol(),
                 pred.value.to_value().render(pool)
             );

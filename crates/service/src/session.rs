@@ -74,6 +74,7 @@ pub struct SessionHandle {
     params: Params,
     params_fingerprint: u64,
     prep_fingerprint: u64,
+    mining_fingerprint: u64,
     service: Weak<ServiceInner>,
 }
 
@@ -100,6 +101,8 @@ impl SessionHandle {
             )
             .as_bytes(),
         );
+        // Keys an APT entry's prepared state (`AptEntry::prepared_for`).
+        let mining_fingerprint = fnv1a(format!("{:?}", params.mining).as_bytes());
         SessionHandle {
             id,
             db_name,
@@ -108,6 +111,7 @@ impl SessionHandle {
             params,
             params_fingerprint,
             prep_fingerprint,
+            mining_fingerprint,
             service,
         }
     }
@@ -326,13 +330,12 @@ impl SessionHandle {
         // column-stats cache hands every graph after the first — and
         // every later preparation touching the same context column — the
         // entry computed once per database epoch.
-        let mining_fp = fnv1a(format!("{:?}", self.params.mining).as_bytes());
         let col_stats = DbColumnStats::new(&inner, &reg, &self.params);
         let prep_span = span("prepare");
         let prep_parent = prep_span.id();
         let prepare_one = |(gi, key, entry, _, mat): &ReadyRow| {
             in_scope(collector, budget.as_ref(), &mem_scope, prep_parent, || {
-                let (prep, hit) = entry.prepared_for(mining_fp, || {
+                let (prep, hit) = entry.prepared_for(self.mining_fingerprint, || {
                     // The prepared state is retained by the APT cache
                     // entry; account it under "cache.apt" alongside the
                     // gather it decorates.
@@ -394,8 +397,6 @@ impl SessionHandle {
         let mine_one = |(gi, _, entry, prep, hit, mat): &PreppedRow| -> GraphOutcome {
             in_scope(collector, budget.as_ref(), &mem_scope, mine_parent, || {
                 pipeline::mine_one_prepared(
-                    &reg.db,
-                    &self.query,
                     &prepared.pt,
                     &entry.apt,
                     prep,
@@ -415,7 +416,8 @@ impl SessionHandle {
         drop(mine_span);
 
         // ---- Stage 5: assemble + rank. ----------------------------------
-        let mut result = pipeline::assemble(&prepared, outcomes, &self.params);
+        let mut result =
+            pipeline::assemble(&reg.db, &self.query, &prepared, outcomes, &self.params);
         if provenance_cache_hit {
             // Those phases were skipped; report the latency actually paid.
             result.timings.provenance = Duration::ZERO;
